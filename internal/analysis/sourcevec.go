@@ -149,33 +149,11 @@ func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, nee
 	}
 
 	// Topological processing ignoring back edges.
-	isBackPred := func(node, pred int) bool {
-		nd := g.Nodes[node]
-		return nd.Kind == cfg.KindLoopEntry && nd.BackPreds[pred]
+	order, ok := g.ForwardOrder()
+	if !ok {
+		return nil, fmt.Errorf("analysis: no topological order (cycle not broken by loop entries)")
 	}
-	processed := make([]bool, n)
-	for count := 0; count < n; count++ {
-		pick := -1
-		for _, id := range g.SortedIDs() {
-			if processed[id] {
-				continue
-			}
-			ready := true
-			for _, p := range g.Nodes[id].Preds {
-				if !processed[p] && !isBackPred(id, p) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				pick = id
-				break
-			}
-		}
-		if pick == -1 {
-			return nil, fmt.Errorf("analysis: no topological order (cycle not broken by loop entries)")
-		}
-		processed[pick] = true
+	for _, pick := range order {
 		nd := g.Nodes[pick]
 		self := []Source{{Node: pick, Dir: true}}
 

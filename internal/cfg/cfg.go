@@ -7,7 +7,6 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ctdf/internal/lang"
@@ -400,12 +399,97 @@ func (g *Graph) DOT() string {
 }
 
 // SortedIDs returns all node IDs in ascending order (deterministic
-// iteration helper).
+// iteration helper). IDs are dense indices into Nodes, so the identity
+// sequence is already sorted.
 func (g *Graph) SortedIDs() []int {
 	ids := make([]int, len(g.Nodes))
 	for i := range g.Nodes {
 		ids[i] = i
 	}
-	sort.Ints(ids)
 	return ids
+}
+
+// ForwardOrder returns the node IDs in topological order of the forward
+// edges — every edge except a loop entry's back edges (BackPreds) —
+// taking the smallest ready ID at each step, so the order is
+// deterministic. Every node comes after all of its forward predecessors:
+// this is the processing order of the Figure 11 source-vector pass and of
+// graph construction. It runs in O(E log V) (Kahn's algorithm over a
+// min-heap of ready IDs) and reports false when a cycle not broken by a
+// loop entry leaves nodes unordered.
+func (g *Graph) ForwardOrder() ([]int, bool) {
+	forward := func(from, to int) bool {
+		nd := g.Nodes[to]
+		return nd.Kind != KindLoopEntry || !nd.BackPreds[from]
+	}
+	// waiting[id] counts id's forward predecessors not yet ordered.
+	waiting := make([]int, len(g.Nodes))
+	for _, nd := range g.Nodes {
+		for _, p := range nd.Preds {
+			if forward(p, nd.ID) {
+				waiting[nd.ID]++
+			}
+		}
+	}
+	// Ascending IDs already form a valid min-heap.
+	var ready idHeap
+	for id, w := range waiting {
+		if w == 0 {
+			ready = append(ready, id)
+		}
+	}
+	order := make([]int, 0, len(g.Nodes))
+	for len(ready) > 0 {
+		id := ready.pop()
+		order = append(order, id)
+		for _, s := range g.Nodes[id].Succs {
+			if forward(id, s) {
+				waiting[s]--
+				if waiting[s] == 0 {
+					ready.push(s)
+				}
+			}
+		}
+	}
+	return order, len(order) == len(g.Nodes)
+}
+
+// idHeap is a binary min-heap of node IDs.
+type idHeap []int
+
+func (h *idHeap) push(id int) {
+	s := append(*h, id)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+	*h = s
+}
+
+func (h *idHeap) pop() int {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s[c+1] < s[c] {
+			c++
+		}
+		if s[i] <= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }

@@ -7,7 +7,9 @@
 package dfg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -381,6 +383,12 @@ func (g *Graph) MaxFanOut() int {
 	return max
 }
 
+// ArcIndex returns the graph's arc index: outs[node][port] and
+// ins[node][port] list the indices into Arcs leaving and entering each
+// port, in the order Connect added them. The slices are the graph's own
+// and shared: callers must not mutate them.
+func (g *Graph) ArcIndex() (outs, ins [][][]int) { return g.outs, g.ins }
+
 // InDegree returns the number of arcs entering (node, port).
 func (g *Graph) InDegree(node, port int) int { return len(g.ins[node][port]) }
 
@@ -436,8 +444,8 @@ func (g *Graph) Validate() error {
 	if g.StartID < 0 || g.EndID < 0 {
 		return fmt.Errorf("dfg: missing start or end node")
 	}
-	seenArcs := map[Arc]bool{}
-	for _, a := range g.Arcs {
+	dup := g.firstDuplicateArc()
+	for ai, a := range g.Arcs {
 		if a.From < 0 || a.From >= len(g.Nodes) || a.To < 0 || a.To >= len(g.Nodes) {
 			return fmt.Errorf("dfg: arc %+v out of node range", a)
 		}
@@ -451,11 +459,9 @@ func (g *Graph) Validate() error {
 		// delivered twice under one tag, the ETS matching rules of §2.2 are
 		// violated); reject them statically. The dummy flag is not part of
 		// the endpoint identity.
-		key := Arc{From: a.From, FromPort: a.FromPort, To: a.To, ToPort: a.ToPort}
-		if seenArcs[key] {
+		if ai == dup {
 			return fmt.Errorf("dfg: duplicate arc %s port %d → %s port %d", g.Nodes[a.From], a.FromPort, g.Nodes[a.To], a.ToPort)
 		}
-		seenArcs[key] = true
 	}
 	for _, n := range g.Nodes {
 		// Input arity must match the operator kind: a switch with three
@@ -529,6 +535,44 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return g.validateFusions()
+}
+
+// firstDuplicateArc returns the smallest index of an arc whose endpoints
+// repeat those of an earlier arc, or -1. Duplicates share an input port,
+// so each port's arc list is checked on its own; only ports with two or
+// more arcs (merge port 0, End and Param ports in a valid graph) need a
+// look, and one sort buffer serves them all.
+func (g *Graph) firstDuplicateArc() int {
+	first := -1
+	var buf []int
+	bySource := func(x, y int) int {
+		a, b := g.Arcs[x], g.Arcs[y]
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.FromPort, b.FromPort); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	}
+	for _, ports := range g.ins {
+		for _, idxs := range ports {
+			if len(idxs) < 2 {
+				continue
+			}
+			// Sorted by source then index, the second arc of each run of
+			// one source is that source's first duplicate.
+			buf = append(buf[:0], idxs...)
+			slices.SortFunc(buf, bySource)
+			for k := 1; k < len(buf); k++ {
+				a, b := g.Arcs[buf[k-1]], g.Arcs[buf[k]]
+				if a.From == b.From && a.FromPort == b.FromPort && (first < 0 || buf[k] < first) {
+					first = buf[k]
+				}
+			}
+		}
+	}
+	return first
 }
 
 // validateFusions checks the Fused side table: every Fused node has a

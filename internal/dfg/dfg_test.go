@@ -163,3 +163,79 @@ func TestSortedByKind(t *testing.T) {
 		}
 	}
 }
+
+func TestValidateDuplicateArcs(t *testing.T) {
+	// Each graph feeds one input port twice from one source port. The
+	// check looks within each input port's arc list, so it must catch
+	// the duplicate whichever kind of port it lands on, with the same
+	// message as a whole-graph scan.
+	for _, c := range []struct {
+		name  string
+		build func(g *Graph)
+		want  string
+	}{
+		{"merge port 0", func(g *Graph) {
+			s := g.Add(&Node{Kind: Start})
+			e := g.Add(&Node{Kind: End, NIns: 1})
+			u := g.Add(&Node{Kind: UnOp, Op: lang.OpNeg})
+			m := g.Add(&Node{Kind: Merge, Tok: "x"})
+			g.Connect(s.ID, 0, u.ID, 0, false)
+			g.Connect(s.ID, 0, m.ID, 0, true)
+			g.Connect(u.ID, 0, m.ID, 0, false)
+			g.Connect(s.ID, 0, m.ID, 0, true)
+			g.Connect(m.ID, 0, e.ID, 0, true)
+		}, "dfg: duplicate arc d0: start port 0 → d3: merge[x] port 0"},
+		{"end port", func(g *Graph) {
+			s := g.Add(&Node{Kind: Start})
+			e := g.Add(&Node{Kind: End, NIns: 2})
+			g.Connect(s.ID, 0, e.ID, 0, true)
+			g.Connect(s.ID, 0, e.ID, 1, true)
+			g.Connect(s.ID, 0, e.ID, 1, false) // dummy flag is not identity
+		}, "dfg: duplicate arc d0: start port 0 → d1: end port 1"},
+		{"ordinary port", func(g *Graph) {
+			s := g.Add(&Node{Kind: Start})
+			e := g.Add(&Node{Kind: End, NIns: 1})
+			u := g.Add(&Node{Kind: UnOp, Op: lang.OpNeg})
+			g.Connect(s.ID, 0, u.ID, 0, false)
+			g.Connect(s.ID, 0, u.ID, 0, false)
+			g.Connect(u.ID, 0, e.ID, 0, false)
+		}, "dfg: duplicate arc d0: start port 0 → d2: unop - port 0"},
+		{"first in arc order", func(g *Graph) {
+			// Two duplicated pairs; the later port's duplicate comes
+			// first in arc order and is the one reported.
+			s := g.Add(&Node{Kind: Start})
+			e := g.Add(&Node{Kind: End, NIns: 2})
+			u := g.Add(&Node{Kind: UnOp, Op: lang.OpNeg})
+			g.Connect(u.ID, 0, e.ID, 0, false)
+			g.Connect(s.ID, 0, e.ID, 1, true)
+			g.Connect(s.ID, 0, e.ID, 1, true)
+			g.Connect(u.ID, 0, e.ID, 0, false)
+			g.Connect(s.ID, 0, u.ID, 0, false)
+		}, "dfg: duplicate arc d0: start port 0 → d1: end port 1"},
+	} {
+		g := scratch()
+		c.build(g)
+		err := g.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
+	}
+
+	// Distinct sources into one merge port are the merge's arms, not
+	// duplicates.
+	g := scratch()
+	s := g.Add(&Node{Kind: Start})
+	e := g.Add(&Node{Kind: End, NIns: 1})
+	sw := g.Add(&Node{Kind: Switch, Tok: "x"})
+	c := g.Add(&Node{Kind: Const, Val: 1})
+	m := g.Add(&Node{Kind: Merge, Tok: "x"})
+	g.Connect(s.ID, 0, sw.ID, 0, true)
+	g.Connect(s.ID, 0, c.ID, 0, true)
+	g.Connect(c.ID, 0, sw.ID, 1, false)
+	g.Connect(sw.ID, 0, m.ID, 0, true)
+	g.Connect(sw.ID, 1, m.ID, 0, true)
+	g.Connect(m.ID, 0, e.ID, 0, true)
+	if err := g.Validate(); err != nil {
+		t.Errorf("switch arms into one merge port rejected: %v", err)
+	}
+}

@@ -128,7 +128,8 @@ type editor struct {
 	newNodes []*dfg.Node     // appended nodes, ids len(g.Nodes)+i
 	newFus   []dfg.FusedInfo // fusion entries for appended nodes, old-id space
 
-	// outs[node][port] and ins[node][port] list arc indices.
+	// outs[node][port] and ins[node][port] list arc indices: g's own
+	// read-only arc index (dfg.Graph.ArcIndex).
 	outs [][][]int
 	ins  [][][]int
 }
@@ -138,17 +139,8 @@ func newEditor(g *dfg.Graph) *editor {
 		g:     g,
 		deadN: make([]bool, len(g.Nodes)),
 		deadA: make([]bool, len(g.Arcs)),
-		outs:  make([][][]int, len(g.Nodes)),
-		ins:   make([][][]int, len(g.Nodes)),
 	}
-	for i, n := range g.Nodes {
-		e.outs[i] = make([][]int, n.OutPorts())
-		e.ins[i] = make([][]int, n.NIns)
-	}
-	for ai, a := range g.Arcs {
-		e.outs[a.From][a.FromPort] = append(e.outs[a.From][a.FromPort], ai)
-		e.ins[a.To][a.ToPort] = append(e.ins[a.To][a.ToPort], ai)
-	}
+	e.outs, e.ins = g.ArcIndex()
 	return e
 }
 

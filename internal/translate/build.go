@@ -152,9 +152,9 @@ func (b *builder) build() error {
 	b.tapF = map[int]map[string]src{}
 	b.tapR = map[int]map[string]src{}
 
-	order, err := b.topoOrder()
-	if err != nil {
-		return err
+	order, ok := b.g.ForwardOrder()
+	if !ok {
+		return fmt.Errorf("translate: CFG has a cycle not broken by loop entries")
 	}
 	var pendingBack []int
 	for _, id := range order {
@@ -202,41 +202,6 @@ func (b *builder) build() error {
 		}
 	}
 	return nil
-}
-
-func (b *builder) topoOrder() ([]int, error) {
-	n := b.g.Len()
-	isBackPred := func(node, pred int) bool {
-		nd := b.g.Nodes[node]
-		return nd.Kind == cfg.KindLoopEntry && nd.BackPreds[pred]
-	}
-	processed := make([]bool, n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		pick := -1
-		for _, id := range b.g.SortedIDs() {
-			if processed[id] {
-				continue
-			}
-			ready := true
-			for _, p := range b.g.Nodes[id].Preds {
-				if !processed[p] && !isBackPred(id, p) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				pick = id
-				break
-			}
-		}
-		if pick == -1 {
-			return nil, fmt.Errorf("translate: CFG has a cycle not broken by loop entries")
-		}
-		processed[pick] = true
-		order = append(order, pick)
-	}
-	return order, nil
 }
 
 func (b *builder) buildStart(id int) error {

@@ -22,6 +22,13 @@ fi
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module tests =="
+# perfbench (the benchmark BENCHMARK.json declares) is a Go module of its
+# own, so the root go test ./... does not reach its tests: repeat runs
+# give identical counts, printed metric names match BENCHMARK.json,
+# compare refuses mismatched runs, and inputs follow from the seed.
+go -C perfbench test ./...
+
 echo "== go test -race =="
 go test -race -timeout 5m ./...
 
