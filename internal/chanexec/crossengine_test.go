@@ -15,7 +15,7 @@ import (
 // TestCrossEngineFiringCountsAgree asserts dataflow determinacy at the
 // operator level: the cycle-driven machine — under every scheduling
 // regime it offers (unlimited processors, a tight processor bound, a
-// seeded-random issue order, and the parallel issue stage) — and the
+// seeded-random issue order, and the four-worker sharded engine) — and the
 // goroutine-per-node channel engine must fire every node exactly the
 // same number of times on every workload. Scheduling freedom may reorder
 // firings but never add or remove one, and every engine must converge on
@@ -33,7 +33,7 @@ func TestCrossEngineFiringCountsAgree(t *testing.T) {
 		{"p1", machine.Config{Processors: 1}},
 		{"p3", machine.Config{Processors: 3}},
 		{"p0-rand", machine.Config{RandomSeed: 42}},
-		{"p0-par", machine.Config{ParallelIssue: true}},
+		{"p0-w4", machine.Config{Workers: 4}},
 	}
 	for _, w := range workloads.All() {
 		for _, opt := range schemas {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 	"strconv"
@@ -588,9 +589,13 @@ func (m *sim) restore(ck *Checkpoint) error {
 		}
 		sh := m.shs[m.shardOf[snap.Node]]
 		b := &sh.ready.buckets[snap.Node]
+		n := m.g.Nodes[snap.Node]
 		for _, f := range snap.Firings {
-			if len(f.Vals) == 0 || len(f.Vals) > 64 {
+			if len(f.Vals) != arity(n) {
 				return ckErrf("node %d firing carries %d operands", snap.Node, len(f.Vals))
+			}
+			if f.Port < 0 || f.Port >= n.NIns {
+				return ckErrf("node %d firing port %d out of range", snap.Node, f.Port)
 			}
 			tgID, err := m.internKey(f.Tag)
 			if err != nil {
@@ -613,7 +618,8 @@ func (m *sim) restore(ck *Checkpoint) error {
 			return ckErrf("match entry node %d out of range", cm.Node)
 		}
 		nIns := m.g.Nodes[cm.Node].NIns
-		if len(cm.Vals) != nIns || cm.N <= 0 || cm.N >= nIns {
+		if len(cm.Vals) != nIns || cm.N <= 0 || cm.N >= nIns ||
+			cm.Have>>uint(nIns) != 0 || bits.OnesCount64(cm.Have) != cm.N {
 			return ckErrf("match entry at node %d is not a partial activation", cm.Node)
 		}
 		tgID, err := m.internKey(cm.Tag)
@@ -647,6 +653,9 @@ func (m *sim) restore(ck *Checkpoint) error {
 		for _, ct := range inf.Toks {
 			if ct.Node < 0 || ct.Node >= len(m.g.Nodes) {
 				return ckErrf("in-flight token to node %d out of range", ct.Node)
+			}
+			if ct.Port < 0 || ct.Port >= m.g.Nodes[ct.Node].NIns {
+				return ckErrf("in-flight token to node %d port %d out of range", ct.Node, ct.Port)
 			}
 			tgID, err := m.internKey(ct.Tag)
 			if err != nil {

@@ -2,11 +2,13 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"ctdf/internal/cfg"
+	"ctdf/internal/dfg"
 	"ctdf/internal/fault"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/translate"
@@ -323,4 +325,109 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	if _, err := Run(other.Graph, Config{Resume: last}); !errors.Is(err, machcheck.ErrInvalidConfig) {
 		t.Errorf("restore into different graph: %v", err)
 	}
+}
+
+// TestCheckpointRestoreRejectsMalformed feeds restore real checkpoints
+// with one field corrupted at a time — the shape of a damaged or
+// hand-edited checkpoint file — and requires a typed InvalidConfig
+// rejection, never a panic inside the resumed run.
+func TestCheckpointRestoreRejectsMalformed(t *testing.T) {
+	opt := translate.Options{Schema: translate.Schema2Opt}
+	res := buildGraph(t, "array-sum", opt)
+	var cks []*Checkpoint
+	if _, err := Run(res.Graph, Config{Processors: 3, MemLatency: 4, CheckpointEvery: 1,
+		CheckpointSink: func(ck *Checkpoint) error { cks = append(cks, ck); return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	nodes := res.Graph.Nodes
+	matchNode := -1 // a two-input node whose tokens rendezvous in the matching store
+	for _, n := range nodes {
+		if n.NIns == 2 && matchSite(n) {
+			matchNode = n.ID
+			break
+		}
+	}
+	if matchNode < 0 {
+		t.Fatal("no two-input matching node")
+	}
+	// first returns a private copy of the first checkpoint that has
+	// what the mutation needs.
+	first := func(t *testing.T, has func(*Checkpoint) bool) *Checkpoint {
+		for _, ck := range cks {
+			if has(ck) {
+				return roundTrip(t, ck)
+			}
+		}
+		t.Fatal("no checkpoint has the state this mutation needs")
+		return nil
+	}
+	hasInflight := func(ck *Checkpoint) bool { return len(ck.Inflight) > 0 }
+	hasMatch := func(ck *Checkpoint) bool { return len(ck.Match) > 0 }
+	// Node classes for ready-firing mutations: single-input, matched
+	// two-input, and any-arrival two-input (merge, loop entry).
+	single := func(n *dfg.Node) bool { return n.NIns == 1 }
+	matched := func(n *dfg.Node) bool { return n.NIns == 2 && matchSite(n) }
+	anyArrival := func(n *dfg.Node) bool { return n.NIns == 2 && !matchSite(n) }
+	hasReady := func(pred func(*dfg.Node) bool) func(*Checkpoint) bool {
+		return func(ck *Checkpoint) bool { return readyAt(ck, nodes, pred) != nil }
+	}
+	cases := []struct {
+		name   string
+		has    func(*Checkpoint) bool
+		mutate func(ck *Checkpoint)
+	}{
+		{"inflight-port-99", hasInflight, func(ck *Checkpoint) {
+			ck.Inflight[0].Toks[0].Node, ck.Inflight[0].Toks[0].Port = matchNode, 99
+		}},
+		{"inflight-port-negative", hasInflight, func(ck *Checkpoint) { ck.Inflight[0].Toks[0].Port = -1 }},
+		{"ready-extra-operand", hasReady(single), func(ck *Checkpoint) {
+			f := readyAt(ck, nodes, single)
+			f.Vals = append(f.Vals, 7)
+		}},
+		{"ready-missing-operand", hasReady(matched), func(ck *Checkpoint) {
+			f := readyAt(ck, nodes, matched)
+			f.Vals = f.Vals[:1]
+		}},
+		{"ready-any-arrival-two-operands", hasReady(anyArrival), func(ck *Checkpoint) {
+			f := readyAt(ck, nodes, anyArrival)
+			f.Vals = append(f.Vals, 7)
+		}},
+		{"ready-port-99", hasReady(anyArrival), func(ck *Checkpoint) { readyAt(ck, nodes, anyArrival).Port = 99 }},
+		{"match-have-above-nins", hasMatch, func(ck *Checkpoint) {
+			// Move the lowest arrived port to bit NIns: same popcount.
+			cm := &ck.Match[0]
+			cm.Have = cm.Have&(cm.Have-1) | 1<<uint(nodes[cm.Node].NIns)
+		}},
+		{"match-have-popcount", hasMatch, func(ck *Checkpoint) { ck.Match[0].Have = 0 }},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{1, 4} {
+			tc, w := tc, w
+			t.Run(fmt.Sprintf("%s/w%d", tc.name, w), func(t *testing.T) {
+				ck := first(t, tc.has)
+				tc.mutate(ck)
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("restore panicked instead of rejecting: %v", r)
+					}
+				}()
+				res := buildGraph(t, "array-sum", opt)
+				_, err := Run(res.Graph, Config{Processors: 3, MemLatency: 4, Workers: w, Resume: ck})
+				if !errors.Is(err, machcheck.ErrInvalidConfig) {
+					t.Errorf("got %v, want InvalidConfig", err)
+				}
+			})
+		}
+	}
+}
+
+// readyAt returns the first pending ready firing in ck on a node pred
+// accepts.
+func readyAt(ck *Checkpoint, nodes []*dfg.Node, pred func(*dfg.Node) bool) *ckFiring {
+	for i := range ck.Ready {
+		if pred(nodes[ck.Ready[i].Node]) {
+			return &ck.Ready[i].Firings[0]
+		}
+	}
+	return nil
 }

@@ -13,15 +13,14 @@
 // Map to the paper:
 //
 //   - machine.go — the ETS pipeline of §2.2: tag matching, instruction
-//     issue, split-phase memory, bounded processors per cycle; also the
-//     observability hooks (Config.Collector, an *obs.Collector) that
+//     issue, split-phase memory, bounded processors per cycle, with the
+//     cycle skeleton and pure-operator evaluator both engines share; also
+//     the observability hooks (Config.Collector, an *obs.Collector) that
 //     count firings/waits/stalls and thread the firing DAG used for
 //     critical-path extraction (see OBSERVABILITY.md).
 //   - queue.go — the hot-path data structures: the bucketed ready queue,
 //     the tag-intern table, the sharded matching store's free lists
 //     (see PERFORMANCE.md).
-//   - par.go — the optional parallel issue stage (Config.ParallelIssue)
-//     that evaluates pure operators of a large batch on a worker pool.
 //   - shard.go — the sharded multi-core machine (Config.Workers): the
 //     whole engine partitioned into shared-nothing per-worker shards
 //     with deterministic cross-shard token routing, byte-identical to
@@ -85,12 +84,6 @@ type Config struct {
 	// DetectRaces additionally checks that no two memory operations on the
 	// same location overlap in time unless both are reads.
 	DetectRaces bool
-	// ParallelIssue evaluates the pure operators of large issue batches on
-	// a host worker pool (see par.go). The simulated execution is
-	// observably identical to the sequential one — same issue order, same
-	// statistics, same events; it only spends host CPUs to get there
-	// faster. Ignored while fault injection is active.
-	ParallelIssue bool
 	// Workers, when > 1, runs the sharded multi-core machine (see
 	// shard.go and SCALING.md): nodes are partitioned across Workers
 	// shared-nothing shards, each cycle's pure firings and token
@@ -337,6 +330,10 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 		store:     interp.NewStoreWithBinding(g.Prog, cfgc.Binding),
 		tags:      newTagTable(),
 		shards:    make([]shardSlot, len(g.Nodes)),
+		inflight:  map[int][]delayed{},
+		endVals:   make([]int64, g.Nodes[g.EndID].NIns),
+		curDep:    -1,
+		curDep2:   -1,
 		resumedAt: -1,
 	}
 	m.col = cfgc.Collector
@@ -355,15 +352,14 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	m.dag = m.col.DAGEnabled()
 	m.jour = m.col.JournalEnabled()
 	m.inj = cfgc.Inject
-	m.par = cfgc.ParallelIssue
 	if cfgc.DetectRaces {
 		m.locs = newRaceDetector(g.Prog, cfgc.Binding)
 	}
 	m.istruct = newIStructUnit(g)
 	m.procs = newProcLinkage(g)
 	// Worker count: >1 selects the sharded engine; fault injection forces
-	// the sequential path (like ParallelIssue, injection decisions must
-	// observe deliveries in sequential order).
+	// the sequential path (injection decisions must observe deliveries in
+	// sequential order).
 	w := cfgc.Workers
 	if w > maxShards {
 		w = maxShards
@@ -382,6 +378,15 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 		m.rng = rand.New(rand.NewSource(cfgc.RandomSeed))
 		for _, sh := range m.shs {
 			sh.rng = rand.New(rand.NewSource(shardSeed(cfgc.RandomSeed, sh.id)))
+		}
+	}
+	m.start = time.Now()
+	if cfgc.Resume != nil {
+		// Restore a checkpoint instead of starting at cycle 0. A
+		// malformed checkpoint is a pre-run failure (nil Outcome), like
+		// any other invalid configuration.
+		if err := m.restore(cfgc.Resume); err != nil {
+			return nil, err
 		}
 	}
 	if w > 1 {
@@ -428,8 +433,10 @@ type sim struct {
 	cycle    int
 	stats    Stats
 
-	// deadlineTick counts schedulable units since the last wall-clock
-	// sample (see deadlineStride).
+	// start is the run's wall-clock origin; deadlineTick counts
+	// schedulable units since the last wall-clock sample (see
+	// deadlineStride).
+	start        time.Time
 	deadlineTick int
 
 	endVals  []int64
@@ -451,11 +458,6 @@ type sim struct {
 	// bounds token explosions.
 	inj       *fault.Injector
 	delivered int64
-
-	// Parallel issue stage (par.go): par enables it, parOut holds the
-	// per-batch-slot results of the pure-operator compute phase.
-	par    bool
-	parOut []pureOut
 
 	// Checkpointing (checkpoint.go): ckID numbers completed checkpoints,
 	// lastCk is the newest one's handle, resumedAt the cycle this run was
@@ -506,17 +508,21 @@ func (m *sim) abort(err error) (*Outcome, error) {
 		ce.Cycle = m.cycle
 		m.col.Abort(m.cycle, string(ce.Check))
 	}
-	return &Outcome{Store: m.store, EndValues: m.endVals, Stats: m.stats, Checkpoint: m.lastCk}, err
+	return m.outcome(), err
+}
+
+func (m *sim) outcome() *Outcome {
+	return &Outcome{Store: m.store, EndValues: m.endVals, Stats: m.stats, Checkpoint: m.lastCk}
 }
 
 // overDeadline samples the wall clock once per deadlineStride schedulable
 // units; it returns the Deadline machine check when the budget is blown.
-func (m *sim) overDeadline(start time.Time) error {
+func (m *sim) overDeadline() error {
 	if m.deadlineTick++; m.deadlineTick < deadlineStride {
 		return nil
 	}
 	m.deadlineTick = 0
-	if time.Since(start) > m.cfg.Deadline {
+	if time.Since(m.start) > m.cfg.Deadline {
 		return machcheck.Newf(machcheck.Deadline, "machine",
 			"exceeded %v wall-clock deadline at cycle %d", m.cfg.Deadline, m.cycle).WithStuck(m.stuckList())
 	}
@@ -524,19 +530,7 @@ func (m *sim) overDeadline(start time.Time) error {
 }
 
 func (m *sim) run() (*Outcome, error) {
-	m.inflight = map[int][]delayed{}
-	m.endVals = make([]int64, m.g.Nodes[m.g.EndID].NIns)
-	m.curDep, m.curDep2 = -1, -1
-	start := time.Now()
-
-	if m.cfg.Resume != nil {
-		// Restore a checkpoint instead of starting at cycle 0. A
-		// malformed checkpoint is a pre-run failure (nil Outcome), like
-		// any other invalid configuration.
-		if err := m.restore(m.cfg.Resume); err != nil {
-			return nil, err
-		}
-	} else {
+	if m.cfg.Resume == nil {
 		// Cycle 0: start emits one dummy token per out arc at the root tag.
 		targets := m.g.OutTargets(m.g.StartID, 0)
 		if m.tel != nil && len(targets) > 0 {
@@ -549,29 +543,11 @@ func (m *sim) run() (*Outcome, error) {
 		}
 	}
 
-	// Execution runs until end fires, then drains remaining enabled work:
-	// tokens routed by a switch onto an unconnected output (a path where
-	// the token's value is dead, e.g. after §6.1 elimination) are dropped
-	// at that switch, and the drops may be scheduled after end's inputs
-	// completed.
 	ready := m.sh0.ready
 	var telT0 time.Time
-	for !m.done || ready.count > 0 || len(m.inflight) > 0 {
-		m.tel.sampleDepth(m)
-		if err := m.maybeCheckpoint(); err != nil {
+	for m.running() {
+		if err := m.cycleGuards(); err != nil {
 			return m.abort(err)
-		}
-		if m.cycle > m.cfg.MaxCycles {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d cycles (deadlock or runaway loop?)", m.cfg.MaxCycles).WithStuck(m.stuckList()))
-		}
-		if m.cfg.Deadline > 0 {
-			if err := m.overDeadline(start); err != nil {
-				return m.abort(err)
-			}
-		}
-		if !m.done && ready.count == 0 && len(m.inflight) == 0 {
-			return m.abort(m.deadlockError())
 		}
 		// Issue up to Processors enabled operations this cycle, in
 		// deterministic order (or seeded-random when configured).
@@ -582,13 +558,9 @@ func (m *sim) run() (*Outcome, error) {
 		if m.tel != nil {
 			telT0 = time.Now()
 		}
-		issue := ready.count
-		if m.cfg.Processors > 0 && issue > m.cfg.Processors {
-			issue = m.cfg.Processors
-		}
-		if int64(m.stats.Ops)+int64(issue) > m.cfg.MaxOps {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d firings (runaway loop?)", m.cfg.MaxOps))
+		issue := m.issueWidth(ready.count)
+		if err := m.recordIssue(issue); err != nil {
+			return m.abort(err)
 		}
 		var batch []firing
 		if m.rng != nil {
@@ -614,25 +586,7 @@ func (m *sim) run() (*Outcome, error) {
 		}
 		if m.tel != nil {
 			observeSeconds(m.tel.selSec, time.Since(telT0))
-		}
-		if issue > m.stats.MaxParallelism {
-			m.stats.MaxParallelism = issue
-		}
-		if m.cycle < m.cfg.ProfileLimit {
-			for len(m.stats.Profile) <= m.cycle {
-				m.stats.Profile = append(m.stats.Profile, 0)
-			}
-			m.stats.Profile[m.cycle] = issue
-		}
-
-		// Optional parallel issue stage: precompute pure operators on a
-		// worker pool, then retire the batch sequentially in issue order.
-		if m.tel != nil {
 			telT0 = time.Now()
-		}
-		usePar := m.par && m.inj == nil && len(batch) >= parIssueThreshold
-		if usePar {
-			m.computePure(batch)
 		}
 		for i := range batch {
 			f := &batch[i]
@@ -644,18 +598,12 @@ func (m *sim) run() (*Outcome, error) {
 				f.dep = -1
 			}
 			m.curDep, m.curDep2 = f.dep, -1
-			if usePar && m.parOut[i].ok {
-				out := &m.parOut[i]
-				if out.err != nil {
-					return m.abort(out.err)
-				}
-				m.emitAll(f.node, out.port, out.val, f.tgID)
-			} else if err := m.fire(f); err != nil {
+			if err := m.fire(f); err != nil {
 				return m.abort(err)
 			}
 			m.sh0.putVals(f.vals)
 			if m.cfg.Deadline > 0 {
-				if err := m.overDeadline(start); err != nil {
+				if err := m.overDeadline(); err != nil {
 					return m.abort(err)
 				}
 			}
@@ -664,16 +612,9 @@ func (m *sim) run() (*Outcome, error) {
 			observeSeconds(m.tel.fireSec[0], time.Since(telT0))
 			telT0 = time.Now()
 		}
-		// Completions scheduled for the next cycle boundary.
-		m.cycle++
-		m.stats.Ops += issue
-		released := m.inflight[m.cycle]
-		for _, d := range released {
-			if d.release != nil {
-				d.release()
-			}
-		}
-		delete(m.inflight, m.cycle)
+		// Completions scheduled for the next cycle boundary, delivered
+		// after this cycle's emissions.
+		released := m.advance(issue)
 		emitN := len(m.emitBuf)
 		for i := range m.emitBuf {
 			if err := m.deliver(m.emitBuf[i]); err != nil {
@@ -705,6 +646,93 @@ func (m *sim) run() (*Outcome, error) {
 			m.tel.cycleCounts(m, issue)
 		}
 	}
+	return m.finish()
+}
+
+// running, cycleGuards, issueWidth, recordIssue, advance and finish are
+// the cycle skeleton both engines share.
+//
+// running reports whether the cycle loop must go on. Execution runs until
+// end fires, then drains remaining enabled work: tokens routed by a
+// switch onto an unconnected output (a path where the token's value is
+// dead, e.g. after §6.1 elimination) are dropped at that switch, and the
+// drops may be scheduled after end's inputs completed.
+func (m *sim) running() bool {
+	return !m.done || m.readyTotal() > 0 || len(m.inflight) > 0
+}
+
+// cycleGuards runs at the top of every cycle: the matching-store depth
+// sample, a due checkpoint, the cycle and wall-clock budgets, and the
+// deadlock check (no enabled or in-flight work before end fired).
+func (m *sim) cycleGuards() error {
+	m.tel.sampleDepth(m)
+	if err := m.maybeCheckpoint(); err != nil {
+		return err
+	}
+	if m.cycle > m.cfg.MaxCycles {
+		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
+			"exceeded %d cycles (deadlock or runaway loop?)", m.cfg.MaxCycles).WithStuck(m.stuckList())
+	}
+	if m.cfg.Deadline > 0 {
+		if err := m.overDeadline(); err != nil {
+			return err
+		}
+	}
+	if !m.done && m.readyTotal() == 0 && len(m.inflight) == 0 {
+		return m.deadlockError()
+	}
+	return nil
+}
+
+// issueWidth is how many of n enabled operations issue this cycle.
+func (m *sim) issueWidth(n int) int {
+	if m.cfg.Processors > 0 && n > m.cfg.Processors {
+		return m.cfg.Processors
+	}
+	return n
+}
+
+// recordIssue enforces the firing budget and records the cycle's issue
+// width: peak parallelism and the per-cycle profile.
+func (m *sim) recordIssue(issue int) error {
+	if int64(m.stats.Ops)+int64(issue) > m.cfg.MaxOps {
+		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
+			"exceeded %d firings (runaway loop?)", m.cfg.MaxOps)
+	}
+	if issue > m.stats.MaxParallelism {
+		m.stats.MaxParallelism = issue
+	}
+	if m.cycle < m.cfg.ProfileLimit {
+		for len(m.stats.Profile) <= m.cycle {
+			m.stats.Profile = append(m.stats.Profile, 0)
+		}
+		m.stats.Profile[m.cycle] = issue
+	}
+	return nil
+}
+
+// advance closes the cycle that just issued: it counts the issue, moves
+// the clock to the cycle boundary, and returns the split-phase memory
+// completions due there with their race-detector holds released.
+func (m *sim) advance(issue int) []delayed {
+	m.cycle++
+	m.stats.Ops += issue
+	released := m.inflight[m.cycle]
+	for _, d := range released {
+		if d.release != nil {
+			d.release()
+		}
+	}
+	delete(m.inflight, m.cycle)
+	return released
+}
+
+// finish closes a drained run with the final statistics and the
+// conservation checks: no unsatisfied I-structure reads, no unreturned
+// procedure activations, and — strict conservation — no partially
+// matched activation left in the matching store (a waiting token whose
+// partner can never arrive is a translation bug).
+func (m *sim) finish() (*Outcome, error) {
 	m.stats.Cycles = m.endCycle
 	m.stats.TokensMoved = m.delivered
 	if err := m.istruct.pendingError(); err != nil {
@@ -714,14 +742,11 @@ func (m *sim) run() (*Outcome, error) {
 		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
 			"%d procedure activations never returned", len(m.procs.live)))
 	}
-	// Strict conservation: after the drain, no partially matched
-	// activation may remain in the matching store (a waiting token whose
-	// partner can never arrive is a translation bug).
 	if n := m.totalMatchCount(); n != 0 {
 		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
 			"%d tokens left after end fired", n).WithStuck(m.stuckList()))
 	}
-	return &Outcome{Store: m.store, EndValues: m.endVals, Stats: m.stats, Checkpoint: m.lastCk}, nil
+	return m.outcome(), nil
 }
 
 // totalMatchCount sums the matching store's population over all shards.
@@ -772,13 +797,18 @@ func (m *sim) stuckList() []machcheck.Stuck {
 // duplicated, or tag-corrupted token visible — the eligible sites for
 // delivery faults.
 func matchSite(n *dfg.Node) bool {
+	return n.Kind == dfg.End || arity(n) >= 2
+}
+
+// arity is the operand count of an enabled activation of n: any-arrival
+// operators (merge, loop entry, param) and single-input nodes fire on
+// each token, every other node on a complete match of its NIns ports.
+func arity(n *dfg.Node) int {
 	switch n.Kind {
 	case dfg.Merge, dfg.LoopEntry, dfg.Param:
-		return false // any-arrival: no matching
-	case dfg.End:
-		return true
+		return 1
 	}
-	return n.NIns >= 2
+	return n.NIns
 }
 
 // deliver routes a token to its destination, enabling a firing when the
@@ -819,27 +849,16 @@ func (m *sim) deliver(t tok) error {
 // them in seq order so the statistics come out byte-identical.
 func (m *sim) deliverOnce(sh *shardState, t tok, seq int64) error {
 	n := m.g.Nodes[t.to.Node]
-	switch n.Kind {
-	case dfg.Merge, dfg.LoopEntry, dfg.Param:
-		// Any-arrival operators: each token fires the node on its own.
+	if n.Kind == dfg.End && t.tgID != rootTagID {
+		return machcheck.Newf(machcheck.TagViolation, "machine",
+			"token reached end with non-root tag %q (unbalanced loop context)", m.tags.key(t.tgID))
+	}
+	if arity(n) == 1 {
+		// Each token fires the node on its own; port is the arriving
+		// port (it matters to any-arrival operators only).
 		vals := sh.getVals(1)
 		vals[0] = t.val
 		fr := firing{node: n.ID, tgID: t.tgID, vals: vals, port: t.to.Port, dep: t.dep}
-		if m.jour {
-			fr.deps = appendDeps(nil, &t)
-		}
-		sh.ready.push(fr)
-		return nil
-	case dfg.End:
-		if t.tgID != rootTagID {
-			return machcheck.Newf(machcheck.TagViolation, "machine",
-				"token reached end with non-root tag %q (unbalanced loop context)", m.tags.key(t.tgID))
-		}
-	}
-	if n.NIns == 1 {
-		vals := sh.getVals(1)
-		vals[0] = t.val
-		fr := firing{node: n.ID, tgID: t.tgID, vals: vals, dep: t.dep}
 		if m.jour {
 			fr.deps = appendDeps(nil, &t)
 		}
@@ -928,11 +947,64 @@ func (m *sim) costOf(node int) int {
 	return 1
 }
 
+// evalPure is the one statement of the pure operators' semantics — Const,
+// BinOp, UnOp, Switch, Merge, Param, Synch — for both engines. The ETS
+// firing rule (paper §2.2) is local: a pure operator's result depends
+// only on its matched operands, so evalPure reads nothing but the node
+// and vals. It returns the output port and value; ok is false for every
+// other kind, and err carries an operator fault.
+func evalPure(n *dfg.Node, vals []int64) (port int, val int64, ok bool, err error) {
+	switch n.Kind {
+	case dfg.Const:
+		return 0, n.Val, true, nil
+	case dfg.BinOp:
+		v, err := interp.Apply(n.Op, vals[0], vals[1])
+		if err != nil {
+			return 0, 0, true, machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
+		}
+		return 0, v, true, nil
+	case dfg.UnOp:
+		switch n.Op {
+		case lang.OpNeg:
+			return 0, -vals[0], true, nil
+		case lang.OpNot:
+			if vals[0] == 0 {
+				return 0, 1, true, nil
+			}
+			return 0, 0, true, nil
+		}
+		return 0, 0, true, machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", n.Op)
+	case dfg.Switch:
+		if vals[1] == 0 {
+			return 1, vals[0], true, nil
+		}
+		return 0, vals[0], true, nil
+	case dfg.Merge, dfg.Param:
+		return 0, vals[0], true, nil
+	case dfg.Synch:
+		return 0, 0, true, nil
+	}
+	return 0, 0, false, nil
+}
+
 // fire executes one operator activation, appending the tokens it emits
 // this cycle to the emission buffer (memory operations park their results
 // in the in-flight queue instead).
 func (m *sim) fire(f *firing) error {
 	n := m.g.Nodes[f.node]
+	if port, v, ok, err := evalPure(n, f.vals); ok {
+		if err != nil {
+			return err
+		}
+		if m.inj != nil && n.Kind == dfg.BinOp && fault.PredicateOp(n.Op) {
+			if fv, hit := m.inj.Misfire(v); hit {
+				m.col.Fault(n.ID, m.cycle, string(fault.MisfireValue))
+				v = fv
+			}
+		}
+		m.emitAll(n.ID, port, v, f.tgID)
+		return nil
+	}
 	switch n.Kind {
 	case dfg.End:
 		if m.done {
@@ -942,39 +1014,6 @@ func (m *sim) fire(f *firing) error {
 		copy(m.endVals, f.vals)
 		m.endCycle = m.cycle + 1
 		m.done = true
-		return nil
-
-	case dfg.Const:
-		m.emitAll(n.ID, 0, n.Val, f.tgID)
-		return nil
-
-	case dfg.BinOp:
-		v, err := interp.Apply(n.Op, f.vals[0], f.vals[1])
-		if err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
-		}
-		if m.inj != nil && fault.PredicateOp(n.Op) {
-			if fv, hit := m.inj.Misfire(v); hit {
-				m.col.Fault(n.ID, m.cycle, string(fault.MisfireValue))
-				v = fv
-			}
-		}
-		m.emitAll(n.ID, 0, v, f.tgID)
-		return nil
-
-	case dfg.UnOp:
-		var v int64
-		switch n.Op {
-		case lang.OpNeg:
-			v = -f.vals[0]
-		case lang.OpNot:
-			if f.vals[0] == 0 {
-				v = 1
-			}
-		default:
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", n.Op)
-		}
-		m.emitAll(n.ID, 0, v, f.tgID)
 		return nil
 
 	case dfg.Fused:
@@ -993,27 +1032,11 @@ func (m *sim) fire(f *firing) error {
 		}
 		return nil
 
-	case dfg.Switch:
-		port := 0
-		if f.vals[1] == 0 {
-			port = 1
-		}
-		m.emitAll(n.ID, port, f.vals[0], f.tgID)
-		return nil
-
-	case dfg.Merge, dfg.Param:
-		m.emitAll(n.ID, 0, f.vals[0], f.tgID)
-		return nil
-
 	case dfg.Apply:
 		return m.fireApply(f)
 
 	case dfg.ProcReturn:
 		return m.fireProcReturn(f)
-
-	case dfg.Synch:
-		m.emitAll(n.ID, 0, 0, f.tgID)
-		return nil
 
 	case dfg.LoopEntry:
 		var ntID int32

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"ctdf/internal/dfg"
-	"ctdf/internal/interp"
-	"ctdf/internal/lang"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/obs/telemetry"
 )
@@ -30,7 +28,7 @@ import (
 //     sequential engine's batch. Loop-tag arithmetic for the planned
 //     firings is resolved here, so phase 2 only reads the tag table.
 //  2. fire (parallel): every shard evaluates its planned firings. Pure
-//     operators (the par.go set, plus loop tag rewrites whose results
+//     operators (the evalPure set, plus loop tag rewrites whose results
 //     were cached in phase 1) evaluate immediately and route their
 //     output tokens into per-destination-shard outboxes; everything
 //     impure (memory, procedure linkage, end, uncached tag arithmetic)
@@ -330,11 +328,6 @@ func (m *sim) readyTotal() int {
 // structure as run(), with the issue/retire/deliver work split into the
 // phases described at the top of this file.
 func (m *sim) runSharded() (*Outcome, error) {
-	m.inflight = map[int][]delayed{}
-	m.endVals = make([]int64, m.g.Nodes[m.g.EndID].NIns)
-	m.curDep, m.curDep2 = -1, -1
-	start := time.Now()
-
 	// Parallel phases fan out tokens concurrently; build the lazy
 	// out-target caches up front so they are read-only from here on.
 	m.g.WarmTargets()
@@ -345,13 +338,7 @@ func (m *sim) runSharded() (*Outcome, error) {
 	m.pool = newShardPool(m.shs)
 	defer m.pool.stop()
 
-	if m.cfg.Resume != nil {
-		// Restore a checkpoint instead of starting at cycle 0 (pre-run
-		// failure on a malformed checkpoint, like invalid configuration).
-		if err := m.restore(m.cfg.Resume); err != nil {
-			return nil, err
-		}
-	} else {
+	if m.cfg.Resume == nil {
 		// Cycle 0: start emits one dummy token per out arc at the root tag,
 		// delivered through the same phase machinery as ordinary cycles.
 		for i, t := range m.g.OutTargets(m.g.StartID, 0) {
@@ -367,22 +354,9 @@ func (m *sim) runSharded() (*Outcome, error) {
 	}
 
 	var telT0 time.Time
-	for !m.done || m.readyTotal() > 0 || len(m.inflight) > 0 {
-		m.tel.sampleDepth(m)
-		if err := m.maybeCheckpoint(); err != nil {
+	for m.running() {
+		if err := m.cycleGuards(); err != nil {
 			return m.abort(err)
-		}
-		if m.cycle > m.cfg.MaxCycles {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d cycles (deadlock or runaway loop?)", m.cfg.MaxCycles).WithStuck(m.stuckList()))
-		}
-		if m.cfg.Deadline > 0 {
-			if err := m.overDeadline(start); err != nil {
-				return m.abort(err)
-			}
-		}
-		if !m.done && m.readyTotal() == 0 && len(m.inflight) == 0 {
-			return m.abort(m.deadlockError())
 		}
 		if m.tel != nil {
 			telT0 = time.Now()
@@ -391,18 +365,8 @@ func (m *sim) runSharded() (*Outcome, error) {
 		if m.tel != nil {
 			observeSeconds(m.tel.selSec, time.Since(telT0))
 		}
-		if int64(m.stats.Ops)+int64(issue) > m.cfg.MaxOps {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d firings (runaway loop?)", m.cfg.MaxOps))
-		}
-		if issue > m.stats.MaxParallelism {
-			m.stats.MaxParallelism = issue
-		}
-		if m.cycle < m.cfg.ProfileLimit {
-			for len(m.stats.Profile) <= m.cycle {
-				m.stats.Profile = append(m.stats.Profile, 0)
-			}
-			m.stats.Profile[m.cycle] = issue
+		if err := m.recordIssue(issue); err != nil {
+			return m.abort(err)
 		}
 		if m.dag {
 			m.dagBase = int32(m.col.FiringCount())
@@ -411,24 +375,15 @@ func (m *sim) runSharded() (*Outcome, error) {
 		if m.tel != nil {
 			telT0 = time.Now()
 		}
-		if err := m.retireCycle(start); err != nil {
+		if err := m.retireCycle(); err != nil {
 			return m.abort(err)
 		}
 		if m.tel != nil {
 			observeSeconds(m.tel.retSec, time.Since(telT0))
 		}
-		// Cycle boundary: count the issue, complete split-phase memory,
-		// route the released tokens after this cycle's emissions (the
-		// sequential delivery order).
-		m.cycle++
-		m.stats.Ops += issue
-		released := m.inflight[m.cycle]
-		for _, d := range released {
-			if d.release != nil {
-				d.release()
-			}
-		}
-		delete(m.inflight, m.cycle)
+		// Cycle boundary: route the released split-phase completions
+		// after this cycle's emissions (the sequential delivery order).
+		released := m.advance(issue)
 		relSeq := int64(1) << 62
 		for _, d := range released {
 			for i := range d.tokens {
@@ -444,20 +399,7 @@ func (m *sim) runSharded() (*Outcome, error) {
 		}
 		m.tel.cycleCounts(m, issue)
 	}
-	m.stats.Cycles = m.endCycle
-	m.stats.TokensMoved = m.delivered
-	if err := m.istruct.pendingError(); err != nil {
-		return m.abort(err)
-	}
-	if m.procs != nil && len(m.procs.live) != 0 {
-		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
-			"%d procedure activations never returned", len(m.procs.live)))
-	}
-	if n := m.totalMatchCount(); n != 0 {
-		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
-			"%d tokens left after end fired", n).WithStuck(m.stuckList()))
-	}
-	return &Outcome{Store: m.store, EndValues: m.endVals, Stats: m.stats, Checkpoint: m.lastCk}, nil
+	return m.finish()
 }
 
 // --- phase 1: select --------------------------------------------------
@@ -523,10 +465,7 @@ func (m *sim) selectCycleRandom() int {
 		sh.randTake = 0
 		total += sh.ready.count
 	}
-	issue := total
-	if m.cfg.Processors > 0 && issue > m.cfg.Processors {
-		issue = m.cfg.Processors
-	}
+	issue := m.issueWidth(total)
 	rem := issue
 	for rem > 0 {
 		for _, sh := range m.shs {
@@ -635,65 +574,30 @@ func (m *sim) fireShard(sh *shardState) {
 // sequential retire pass.
 func (m *sim) fireOneSharded(sh *shardState, f *firing, gi int) {
 	n := m.g.Nodes[f.node]
-	var val int64
-	port := 0
 	tg := f.tgID
-	switch n.Kind {
-	case dfg.Const:
-		val = n.Val
-	case dfg.BinOp:
-		v, err := interp.Apply(n.Op, f.vals[0], f.vals[1])
-		if err != nil {
-			sh.recordFireEvent(m, f, gi, 0)
-			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err))
-			return
-		}
-		val = v
-	case dfg.UnOp:
-		switch n.Op {
-		case lang.OpNeg:
-			val = -f.vals[0]
-		case lang.OpNot:
-			if f.vals[0] == 0 {
-				val = 1
-			}
-		default:
-			sh.recordFireEvent(m, f, gi, 0)
-			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", n.Op))
-			return
-		}
-	case dfg.Switch:
-		val = f.vals[0]
-		if f.vals[1] == 0 {
-			port = 1
-		}
-	case dfg.Merge, dfg.Param:
-		val = f.vals[0]
-	case dfg.Synch:
-		// emits 0
-	case dfg.LoopEntry:
-		var ok bool
-		if f.port == 0 {
-			tg, ok = m.tags.peekPush(f.tgID)
-		} else {
-			tg, ok = m.tags.peekBump(f.tgID)
-		}
-		if !ok {
-			sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
-			return
-		}
-		val = f.vals[0]
-	case dfg.LoopExit:
-		var ok bool
-		tg, ok = m.tags.peekPop(f.tgID)
-		if !ok {
-			sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
-			return
-		}
-		val = f.vals[0]
-	default:
-		sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
+	port, val, ok, err := evalPure(n, f.vals)
+	if err != nil {
+		sh.recordFireEvent(m, f, gi, 0)
+		sh.recordFireErr(gi, err)
 		return
+	}
+	if !ok {
+		// Loop tag rewrites are pure once phase 1 cached their results.
+		switch n.Kind {
+		case dfg.LoopEntry:
+			if f.port == 0 {
+				tg, ok = m.tags.peekPush(f.tgID)
+			} else {
+				tg, ok = m.tags.peekBump(f.tgID)
+			}
+		case dfg.LoopExit:
+			tg, ok = m.tags.peekPop(f.tgID)
+		}
+		if !ok {
+			sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
+			return
+		}
+		val = f.vals[0]
 	}
 	var dep int32 = -1
 	if m.dag {
@@ -745,7 +649,7 @@ func (sh *shardState) recordFireErr(gi int, err error) {
 // exactly the sequential order. Immediate emissions of impure firings
 // are routed into the sequential-writer inbox lane with their (gi,
 // emission index) sequence keys.
-func (m *sim) retireCycle(start time.Time) error {
+func (m *sim) retireCycle() error {
 	var pureErr error
 	pureErrGi := 0
 	for _, sh := range m.shs {
@@ -815,7 +719,7 @@ func (m *sim) retireCycle(start time.Time) error {
 			}
 		}
 		if m.cfg.Deadline > 0 {
-			if err := m.overDeadline(start); err != nil {
+			if err := m.overDeadline(); err != nil {
 				return err
 			}
 		}
