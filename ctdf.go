@@ -179,7 +179,8 @@ type RunConfig struct {
 	// pure firings and token deliveries execute on per-shard host
 	// workers. The simulated execution is byte-identical to the
 	// sequential engine at every worker count (see SCALING.md).
-	// EngineMachine only; ignored while fault injection is active.
+	// EngineMachine only; ignored while fault injection or seeded-random
+	// issue (RandomSeed != 0) is active, both of which run sequentially.
 	Workers int
 	// MaxCycles / MaxOps bound the execution (defaults: one million
 	// cycles, ten million firings).

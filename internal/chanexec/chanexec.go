@@ -312,7 +312,7 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 	}
 	maxOps := cfg.MaxOps
 	if maxOps == 0 {
-		maxOps = 10_000_000
+		maxOps = machcheck.DefaultMaxOps
 	}
 	e := &engine{
 		g:        g,

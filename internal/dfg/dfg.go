@@ -110,9 +110,6 @@ func (n *Node) OutPorts() int {
 	return numOuts(n.Kind)
 }
 
-// outPorts returns the node's output port count.
-func outPorts(n *Node) int { return n.OutPorts() }
-
 // fixedIns returns the input port count for fixed-arity kinds, or -1 for
 // variable arity (End, Synch).
 func fixedIns(k Kind) int {
@@ -286,7 +283,7 @@ func (g *Graph) Add(n *Node) *Node {
 	}
 	n.ID = len(g.Nodes)
 	g.Nodes = append(g.Nodes, n)
-	g.outs = append(g.outs, make([][]int, outPorts(n)))
+	g.outs = append(g.outs, make([][]int, n.OutPorts()))
 	g.ins = append(g.ins, make([][]int, n.NIns))
 	switch n.Kind {
 	case Start:
@@ -449,7 +446,7 @@ func (g *Graph) Validate() error {
 		if a.From < 0 || a.From >= len(g.Nodes) || a.To < 0 || a.To >= len(g.Nodes) {
 			return fmt.Errorf("dfg: arc %+v out of node range", a)
 		}
-		if a.FromPort < 0 || a.FromPort >= outPorts(g.Nodes[a.From]) {
+		if a.FromPort < 0 || a.FromPort >= g.Nodes[a.From].OutPorts() {
 			return fmt.Errorf("dfg: arc from %s port %d out of range", g.Nodes[a.From], a.FromPort)
 		}
 		if a.ToPort < 0 || a.ToPort >= g.Nodes[a.To].NIns {

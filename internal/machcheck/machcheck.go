@@ -60,6 +60,13 @@ const (
 	InvalidConfig  Check = "invalid-config"
 )
 
+// The run budgets both engines default to when a caller leaves the
+// bound at zero; exceeding either aborts with CyclesExceeded.
+const (
+	DefaultMaxCycles       = 1_000_000
+	DefaultMaxOps    int64 = 10_000_000
+)
+
 // Error implements error: a bare Check is the sentinel form.
 func (c Check) Error() string { return "machine check: " + string(c) }
 

@@ -24,7 +24,7 @@ import (
 // firings, the partially matched activations in the matching store, the
 // in-flight split-phase memory completions, the memory store,
 // I-structure presence/deferred-reader state, procedure activations,
-// statistics counters, and (in seeded-random mode) the RNG streams.
+// statistics counters, and (in seeded-random mode) the RNG stream.
 // Restoring that state into a fresh machine and resuming produces a
 // byte-identical final Outcome — the paper's §5 determinacy condition is
 // what makes this sound: a determinate graph re-executed from a
@@ -34,10 +34,13 @@ import (
 // (token.ParseKey), so interned ids may differ between the original and
 // the resumed run; only keys are observable (issue order sorts buckets
 // by key, and checkpointing forbids collectors, whose events are the one
-// place ids could otherwise leak). RNG streams are serialized as the
-// history of Shuffle lengths consumed so far and fast-forwarded on
-// restore by replaying no-op shuffles — math/rand exposes no state, but
-// replaying the identical call sequence consumes identical randomness.
+// place ids could otherwise leak). The seeded-random RNG stream is
+// serialized as the history of Shuffle lengths consumed so far and
+// fast-forwarded on restore by replaying no-op shuffles — math/rand
+// exposes no state, but replaying the identical call sequence consumes
+// identical randomness. Seeded runs always take the one-shard path, so
+// there is exactly one stream and every checkpoint restores at any
+// worker count.
 //
 // Checkpoints taken while a fault injector is armed stop as soon as the
 // injector fires: every checkpoint is guaranteed pre-fault state, so a
@@ -45,7 +48,7 @@ import (
 // state (the injected corruption is never snapshotted).
 
 // checkpointVersion is bumped whenever the serialized layout changes.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // CheckpointRef identifies a completed checkpoint: the handle a partial
 // Outcome carries so an aborted run can be resumed (or replayed with
@@ -129,16 +132,13 @@ type ckStats struct {
 // Checkpoint is a complete, serializable snapshot of machine state at a
 // cycle boundary. Restore it with Config.Resume; the resumed run
 // produces the byte-identical final Outcome the original run would
-// have. Checkpoints are portable across worker counts (Config.Workers)
-// except in seeded-random mode, where the per-shard RNG streams tie the
-// snapshot to the worker count that took it.
+// have, at any worker count (Config.Workers).
 type Checkpoint struct {
 	Version   int          `json:"version"`
 	ID        int          `json:"id"`
 	Cycle     int          `json:"cycle"`
 	Graph     uint64       `json:"graph"`
 	Seed      int64        `json:"seed,omitempty"`
-	Workers   int          `json:"workers"`
 	Done      bool         `json:"done,omitempty"`
 	EndCycle  int          `json:"end_cycle,omitempty"`
 	EndVals   []int64      `json:"end_vals"`
@@ -156,11 +156,9 @@ type Checkpoint struct {
 	Acts    []ckActivation `json:"activations,omitempty"`
 	NextAct int            `json:"next_activation,omitempty"`
 
-	// Shuffle-length histories for seeded-random issue mode: the main
-	// loop's stream (sequential engine) and each shard's stream (sharded
-	// engine). Fast-forwarded by replaying no-op shuffles on restore.
-	MainShuffles  []int   `json:"main_shuffles,omitempty"`
-	ShardShuffles [][]int `json:"shard_shuffles,omitempty"`
+	// Shuffles is the seeded-random RNG stream's shuffle-length history,
+	// fast-forwarded by replaying no-op shuffles on restore.
+	Shuffles []int `json:"shuffles,omitempty"`
 }
 
 // Ref returns the checkpoint's identifying handle.
@@ -206,34 +204,17 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(b)
 }
 
-// GraphFingerprint hashes the graph's structure so a checkpoint refuses
+// graphFingerprint hashes the graph's structure so a checkpoint refuses
 // to restore into a different graph.
-func GraphFingerprint(g graphLike) uint64 {
+func graphFingerprint(g *dfg.Graph) uint64 {
 	h := fnv.New64a()
-	nodes := g.nodeCount()
-	io.WriteString(h, strconv.Itoa(nodes))
-	for i := 0; i < nodes; i++ {
+	io.WriteString(h, strconv.Itoa(len(g.Nodes)))
+	for _, n := range g.Nodes {
 		h.Write([]byte{0})
-		io.WriteString(h, g.nodeSig(i))
+		io.WriteString(h, n.String()+"/"+strconv.Itoa(n.NIns))
 	}
 	return h.Sum64()
 }
-
-// graphLike decouples the fingerprint from *dfg.Graph for tests.
-type graphLike interface {
-	nodeCount() int
-	nodeSig(i int) string
-}
-
-type dfgGraph struct{ m *sim }
-
-func (d dfgGraph) nodeCount() int { return len(d.m.g.Nodes) }
-func (d dfgGraph) nodeSig(i int) string {
-	n := d.m.g.Nodes[i]
-	return n.String() + "/" + strconv.Itoa(n.NIns)
-}
-
-func (m *sim) graphFP() uint64 { return GraphFingerprint(dfgGraph{m}) }
 
 // ckErrf builds the InvalidConfig machine check every malformed-restore
 // path returns.
@@ -285,9 +266,8 @@ func (m *sim) capture() *Checkpoint {
 	ck := &Checkpoint{
 		Version:   checkpointVersion,
 		Cycle:     m.cycle,
-		Graph:     m.graphFP(),
+		Graph:     graphFingerprint(m.g),
 		Seed:      m.cfg.RandomSeed,
-		Workers:   len(m.shs),
 		Done:      m.done,
 		EndCycle:  m.endCycle,
 		EndVals:   append([]int64(nil), m.endVals...),
@@ -431,13 +411,9 @@ func (m *sim) capture() *Checkpoint {
 		}
 	}
 
-	// RNG shuffle histories (seeded-random mode only).
+	// RNG shuffle history (seeded-random mode only).
 	if m.rng != nil {
-		ck.MainShuffles = append([]int(nil), m.shufLog...)
-		ck.ShardShuffles = make([][]int, len(m.shs))
-		for i, sh := range m.shs {
-			ck.ShardShuffles[i] = append([]int(nil), sh.shufLog...)
-		}
+		ck.Shuffles = append([]int(nil), m.shufLog...)
 	}
 	return ck
 }
@@ -460,14 +436,11 @@ func (m *sim) restore(ck *Checkpoint) error {
 	if ck.Version != checkpointVersion {
 		return ckErrf("version %d, want %d", ck.Version, checkpointVersion)
 	}
-	if ck.Graph != m.graphFP() {
+	if ck.Graph != graphFingerprint(m.g) {
 		return ckErrf("checkpoint was taken on a different graph")
 	}
 	if ck.Seed != m.cfg.RandomSeed {
 		return ckErrf("checkpoint seed %d, run seed %d", ck.Seed, m.cfg.RandomSeed)
-	}
-	if ck.Seed != 0 && ck.Workers != len(m.shs) {
-		return ckErrf("seeded-random checkpoints are bound to their worker count (checkpoint %d, run %d)", ck.Workers, len(m.shs))
 	}
 	if ck.Cycle < 0 || ck.Cycle > m.cfg.MaxCycles {
 		return ckErrf("cycle %d out of range", ck.Cycle)
@@ -668,23 +641,15 @@ func (m *sim) restore(ck *Checkpoint) error {
 		m.inflight[inf.At] = []delayed{{tokens: toks}}
 	}
 
-	// RNG streams: fast-forward by replaying the shuffle-length history
+	// RNG stream: fast-forward by replaying the shuffle-length history
 	// (a no-op shuffle of length n consumes exactly the randomness the
 	// original call did).
 	if m.rng != nil {
 		noop := func(i, j int) {}
-		for _, n := range ck.MainShuffles {
+		for _, n := range ck.Shuffles {
 			m.rng.Shuffle(n, noop)
 		}
-		m.shufLog = append(m.shufLog[:0], ck.MainShuffles...)
-		for i, sh := range m.shs {
-			if i < len(ck.ShardShuffles) {
-				for _, n := range ck.ShardShuffles[i] {
-					sh.rng.Shuffle(n, noop)
-				}
-				sh.shufLog = append(sh.shufLog[:0], ck.ShardShuffles[i]...)
-			}
-		}
+		m.shufLog = append(m.shufLog[:0], ck.Shuffles...)
 	}
 	return nil
 }

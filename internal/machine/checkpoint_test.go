@@ -196,51 +196,63 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointSeededRandomResume checks the RNG fast-forward: in
-// seeded-random issue mode a resumed run must replay the exact schedule
-// the original explored, at the worker count that took the snapshot;
-// restoring a seeded snapshot at a different worker count is rejected.
+// TestCheckpointSeededRandomResume checks the RNG fast-forward: a
+// seeded-random run resumed from any of its checkpoints must replay the
+// exact schedule the original explored. Seeded runs take the one-shard
+// path at every worker count, so a checkpoint taken at W=1 resumes
+// byte-identically at W=4 and the reverse. A checkpoint in the version-1
+// layout, which pinned seeded snapshots to their worker count, is
+// rejected.
 func TestCheckpointSeededRandomResume(t *testing.T) {
 	forceShardPool(t)
 	const seed = 12345
-	for _, w := range []int{1, 4} {
-		res := buildGraph(t, "fib-iterative", translate.Options{Schema: translate.Schema2Opt})
-		base, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w})
-		if err != nil {
-			t.Fatalf("W=%d baseline: %v", w, err)
-		}
+	opt := translate.Options{Schema: translate.Schema2Opt}
+	base, err := Run(buildGraph(t, "fib-iterative", opt).Graph, Config{MemLatency: 2, RandomSeed: seed})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	var first *Checkpoint
+	for _, ws := range [][2]int{{1, 4}, {4, 1}} {
+		capW, resW := ws[0], ws[1]
 		var cks []*Checkpoint
-		res = buildGraph(t, "fib-iterative", translate.Options{Schema: translate.Schema2Opt})
-		out, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w, CheckpointEvery: 5,
+		out, err := Run(buildGraph(t, "fib-iterative", opt).Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: capW, CheckpointEvery: 5,
 			CheckpointSink: func(ck *Checkpoint) error { cks = append(cks, roundTrip(t, ck)); return nil }})
 		if err != nil {
-			t.Fatalf("W=%d checkpointed: %v", w, err)
+			t.Fatalf("W=%d checkpointed: %v", capW, err)
 		}
 		if !cellOf(out).equal(cellOf(base)) {
-			t.Fatalf("W=%d: checkpointing perturbed the seeded run", w)
+			t.Fatalf("W=%d: checkpointed seeded run differs from the W=1 baseline", capW)
 		}
 		if len(cks) == 0 {
-			t.Fatalf("W=%d: no checkpoints", w)
+			t.Fatalf("W=%d: no checkpoints", capW)
+		}
+		if first == nil {
+			first = cks[0]
 		}
 		for _, ck := range sampleCheckpoints(cks, 5) {
-			res := buildGraph(t, "fib-iterative", translate.Options{Schema: translate.Schema2Opt})
-			got, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w, Resume: ck})
-			if err != nil {
-				t.Fatalf("W=%d ck=%d: resume: %v", w, ck.ID, err)
+			for _, w := range []int{capW, resW} {
+				got, err := Run(buildGraph(t, "fib-iterative", opt).Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w, Resume: ck})
+				if err != nil {
+					t.Fatalf("taken at W=%d, resumed at W=%d, ck=%d: %v", capW, w, ck.ID, err)
+				}
+				if !cellOf(got).equal(cellOf(base)) {
+					t.Errorf("taken at W=%d, resumed at W=%d, ck=%d (cycle %d): seeded resume diverged", capW, w, ck.ID, ck.Cycle)
+				}
 			}
-			if !cellOf(got).equal(cellOf(base)) {
-				t.Errorf("W=%d ck=%d (cycle %d): seeded resume diverged", w, ck.ID, ck.Cycle)
-			}
 		}
-		// Cross-worker seeded restore must be rejected, not silently wrong.
-		otherW := 4
-		if w == 4 {
-			otherW = 1
-		}
-		res = buildGraph(t, "fib-iterative", translate.Options{Schema: translate.Schema2Opt})
-		if _, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: otherW, Resume: cks[0]}); !errors.Is(err, machcheck.ErrInvalidConfig) {
-			t.Errorf("W=%d snapshot restored at W=%d: got %v, want InvalidConfig", w, otherW, err)
-		}
+	}
+
+	v1 := *first
+	v1.Version = 1
+	b, err := v1.Encode()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, err := DecodeCheckpoint(b); err == nil {
+		t.Error("DecodeCheckpoint accepted a version-1 checkpoint")
+	}
+	if _, err := Run(buildGraph(t, "fib-iterative", opt).Graph, Config{MemLatency: 2, RandomSeed: seed, Resume: &v1}); !errors.Is(err, machcheck.ErrInvalidConfig) {
+		t.Errorf("resume from a version-1 checkpoint: got %v, want InvalidConfig", err)
 	}
 }
 

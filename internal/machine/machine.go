@@ -93,8 +93,9 @@ type Config struct {
 	// same snapshots, statistics, firing vectors, journal — because the
 	// shard count parameterizes only host-side data layout, never the
 	// simulated schedule. 0 and 1 select the sequential engine; the value
-	// is capped at 256; ignored while fault injection is active
-	// (injection decisions must see deliveries in sequential order).
+	// is capped at 256; ignored while fault injection (injection decisions
+	// must see deliveries in sequential order) or seeded-random issue (one
+	// RNG stream shuffles the whole ready set) is active.
 	Workers int
 	// CheckpointEvery, when > 0, captures a deterministic checkpoint of
 	// the full machine state every CheckpointEvery cycles (see
@@ -111,10 +112,6 @@ type Config struct {
 	// byte-identical final Outcome the original would have. Incompatible
 	// with Inject (fault plans count delivery sites from cycle 0).
 	Resume *Checkpoint
-	// ProfileLimit caps the recorded parallelism profile length (default
-	// 1<<16 cycles; negative values are rejected); statistics remain exact
-	// beyond it.
-	ProfileLimit int
 	// Trace, when non-nil, receives one line per operator firing
 	// ("cycle 12: d5: binop + [tag 0.1]"); it is implemented as an
 	// obs.TraceSink on the event stream.
@@ -154,9 +151,6 @@ func (c *Config) validate() error {
 	case c.MaxOps < 0:
 		return machcheck.Newf(machcheck.InvalidConfig, "machine",
 			"MaxOps must be >= 0 (0 = default 1e7), got %d", c.MaxOps)
-	case c.ProfileLimit < 0:
-		return machcheck.Newf(machcheck.InvalidConfig, "machine",
-			"ProfileLimit must be >= 0 (0 = default 65536), got %d", c.ProfileLimit)
 	case c.Deadline < 0:
 		return machcheck.Newf(machcheck.InvalidConfig, "machine",
 			"Deadline must be >= 0 (0 = none), got %v", c.Deadline)
@@ -206,7 +200,7 @@ type Stats struct {
 	// pressure).
 	PeakMatchStore int
 	// Profile[i] is the number of operations issued at cycle i (truncated
-	// to ProfileLimit entries).
+	// to profileLimit entries; the other statistics stay exact beyond it).
 	Profile []int
 }
 
@@ -294,6 +288,10 @@ type firing struct {
 // orders of magnitude before the next cycle boundary.
 const deadlineStride = 64
 
+// profileLimit caps the recorded parallelism profile (Stats.Profile) in
+// cycles.
+const profileLimit = 1 << 16
+
 // Run executes the dataflow graph to completion.
 //
 // Errors raised by the machine's own checks are *machcheck.Error values
@@ -313,13 +311,10 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 		cfgc.MemLatency = 1
 	}
 	if cfgc.MaxCycles == 0 {
-		cfgc.MaxCycles = 1_000_000
+		cfgc.MaxCycles = machcheck.DefaultMaxCycles
 	}
 	if cfgc.MaxOps == 0 {
-		cfgc.MaxOps = 10_000_000
-	}
-	if cfgc.ProfileLimit == 0 {
-		cfgc.ProfileLimit = 1 << 16
+		cfgc.MaxOps = machcheck.DefaultMaxOps
 	}
 	if err := cfgc.Binding.Validate(g.Prog); err != nil {
 		return nil, err
@@ -357,28 +352,26 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	}
 	m.istruct = newIStructUnit(g)
 	m.procs = newProcLinkage(g)
-	// Worker count: >1 selects the sharded engine; fault injection forces
-	// the sequential path (injection decisions must observe deliveries in
-	// sequential order).
+	// Worker count: >1 selects the sharded engine. Fault injection and
+	// seeded-random issue force the sequential path: injection decisions
+	// must observe deliveries in sequential order, and one RNG stream
+	// shuffles the whole ready set, so Workers never changes a run.
 	w := cfgc.Workers
 	if w > maxShards {
 		w = maxShards
 	}
-	if w < 1 || m.inj != nil {
+	if w < 1 || m.inj != nil || cfgc.RandomSeed != 0 {
 		w = 1
 	}
 	m.initShards(w)
 	if cfgc.Telemetry != nil {
 		// The probe is sized to the effective worker count (after the
-		// injection/cap adjustments above) so per-shard series exist
-		// exactly for the shards that will run.
+		// cap and sequential-path adjustments above) so per-shard series
+		// exist exactly for the shards that will run.
 		m.tel = newMachineTel(cfgc.Telemetry, w)
 	}
 	if cfgc.RandomSeed != 0 {
 		m.rng = rand.New(rand.NewSource(cfgc.RandomSeed))
-		for _, sh := range m.shs {
-			sh.rng = rand.New(rand.NewSource(shardSeed(cfgc.RandomSeed, sh.id)))
-		}
 	}
 	m.start = time.Now()
 	if cfgc.Resume != nil {
@@ -461,7 +454,7 @@ type sim struct {
 
 	// Checkpointing (checkpoint.go): ckID numbers completed checkpoints,
 	// lastCk is the newest one's handle, resumedAt the cycle this run was
-	// restored at (-1 otherwise), and shufLog the main RNG stream's
+	// restored at (-1 otherwise), and shufLog the RNG stream's
 	// shuffle-length history in seeded-random mode.
 	ckID      int
 	lastCk    *CheckpointRef
@@ -702,7 +695,7 @@ func (m *sim) recordIssue(issue int) error {
 	if issue > m.stats.MaxParallelism {
 		m.stats.MaxParallelism = issue
 	}
-	if m.cycle < m.cfg.ProfileLimit {
+	if m.cycle < profileLimit {
 		for len(m.stats.Profile) <= m.cycle {
 			m.stats.Profile = append(m.stats.Profile, 0)
 		}

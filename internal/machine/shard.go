@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -17,7 +16,9 @@ import (
 // owns their destination instruction. Nodes are partitioned across W
 // shared-nothing shards by a hash of the node id; each shard owns its
 // nodes' ready-queue buckets, matching-store slots, and free lists, so
-// shard workers never contend on scheduler state.
+// shard workers never contend on scheduler state. Fault-injected and
+// seeded-random runs never come here: Run gives them one shard, so the
+// worker count changes no run at all.
 //
 // A cycle runs as four phases (bulk-synchronous, like the cycle it
 // simulates):
@@ -78,20 +79,6 @@ var shardedPhaseMin = 64
 // evenly).
 func shardHash(id int) uint32 {
 	return uint32(id) * 2654435761
-}
-
-// shardSeed derives the per-shard RNG stream for seeded-random issue
-// mode: a splitmix64 mix of (seed, shard), so every (seed, shard) pair
-// is an independent deterministic stream and W=1 vs W=8 runs explore
-// schedules from the same seed without sharing one RNG.
-func shardSeed(seed int64, shard int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(shard+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
 }
 
 // planEntry is one selection decision: fire take pending activations of
@@ -160,25 +147,14 @@ type shardState struct {
 	valsFree   [][][]int64
 	valsArena  []int64
 
-	// rng is the shard's seeded-random issue stream (nil outside
-	// seeded-random mode), deterministic by (seed, shard id).
-	rng *rand.Rand
-	// shufLog records the stream's shuffle-length history while
-	// checkpointing, so a checkpoint can fast-forward a fresh stream to
-	// this one's exact state (see checkpoint.go).
-	shufLog []int
-
 	// Per-cycle scratch for the sharded engine's phases.
 	plan      []planEntry
-	batchBuf  []firing
 	outbox    [][]routedTok // fire phase → per-destination-shard tokens
 	fireEvs   []fireEvent   // fire phase → deferred pure observations
 	impure    []impureFiring
 	waits     []waitEvent
 	heads     []int // delivery-phase k-way merge cursors
 	delivered int64
-	randTake  int
-	randBase  int
 
 	// First error per phase, in sequential order (min gi / min seq);
 	// the retire pass and cycle merge pick the global minimum.
@@ -411,9 +387,6 @@ func (m *sim) runSharded() (*Outcome, error) {
 // Loop-tag arithmetic for the planned buckets is resolved here, caching
 // the results so the parallel fire phase only reads the tag table.
 func (m *sim) selectCycle() int {
-	if m.rng != nil {
-		return m.selectCycleRandom()
-	}
 	budget := m.cfg.Processors
 	if budget <= 0 {
 		budget = int(^uint(0) >> 1)
@@ -447,41 +420,6 @@ func (m *sim) selectCycle() int {
 		issue += take
 		budget -= take
 		cur[best]++
-	}
-	return issue
-}
-
-// selectCycleRandom plans a seeded-random cycle: the issue budget is
-// split round-robin across shards with pending work, each shard
-// shuffles its own pending set with its (seed, shard) stream, and
-// global issue indices are assigned shard-major. Deterministic for a
-// fixed (seed, W); across worker counts the schedule differs but every
-// observable final state agrees (dataflow determinacy — the property
-// seeded-random mode exists to exercise).
-func (m *sim) selectCycleRandom() int {
-	total := 0
-	for _, sh := range m.shs {
-		sh.plan = sh.plan[:0]
-		sh.randTake = 0
-		total += sh.ready.count
-	}
-	issue := m.issueWidth(total)
-	rem := issue
-	for rem > 0 {
-		for _, sh := range m.shs {
-			if rem == 0 {
-				break
-			}
-			if sh.randTake < sh.ready.count {
-				sh.randTake++
-				rem--
-			}
-		}
-	}
-	base := 0
-	for _, sh := range m.shs {
-		sh.randBase = base
-		base += sh.randTake
 	}
 	return issue
 }
@@ -545,23 +483,6 @@ func (m *sim) runFirePhase(issue int) {
 }
 
 func (m *sim) fireShard(sh *shardState) {
-	if m.rng != nil {
-		all := sh.ready.fill(sh.batchBuf[:0], sh.ready.count)
-		sh.batchBuf = all
-		sh.rng.Shuffle(len(all), func(i, j int) {
-			all[i], all[j] = all[j], all[i]
-		})
-		if m.cfg.CheckpointEvery > 0 {
-			sh.shufLog = append(sh.shufLog, len(all))
-		}
-		for j := 0; j < sh.randTake; j++ {
-			m.fireOneSharded(sh, &all[j], sh.randBase+j)
-		}
-		for _, f := range all[sh.randTake:] {
-			sh.ready.push(f)
-		}
-		return
-	}
 	sh.ready.takePlanned(sh.plan, func(f *firing, gi int) {
 		m.fireOneSharded(sh, f, gi)
 	})

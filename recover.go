@@ -30,8 +30,6 @@ import (
 type RecoveryPolicy struct {
 	// MaxAttempts bounds total attempts including the first (default 3).
 	MaxAttempts int
-	// Backoff is the flat delay between attempts (default none).
-	Backoff time.Duration
 	// CheckpointEvery is the machine checkpoint interval in cycles
 	// (default 64). Negative disables checkpointing: machine retries then
 	// restart from scratch like channel retries. Checkpointing is also
@@ -215,11 +213,6 @@ func (d *Dataflow) runSupervised(cfg RunConfig) (*Result, error) {
 				}
 				if ck != nil {
 					plumb.resume = ck
-					if ck.Seed != 0 {
-						// Seeded checkpoints are bound to the worker
-						// count that took them (per-shard RNG streams).
-						acfg.Workers = ck.Workers
-					}
 					rep.CheckpointUsed = &CheckpointRef{ID: ck.ID, Cycle: ck.Cycle}
 				}
 			}
@@ -265,22 +258,19 @@ func (d *Dataflow) runSupervised(cfg RunConfig) (*Result, error) {
 			rep.CyclesReplayed += res.Cycles - resumeCycle
 		}
 		if errors.Is(err, ErrCyclesExceeded) {
-			// Raise the exhausted budget (resolving the engines' shared
-			// defaults: one million cycles, ten million firings).
+			// Raise the exhausted budget, resolving the engines' shared
+			// defaults first.
 			if maxCycles == 0 {
-				maxCycles = 1_000_000
+				maxCycles = machcheck.DefaultMaxCycles
 			}
 			if maxOps == 0 {
-				maxOps = 10_000_000
+				maxOps = machcheck.DefaultMaxOps
 			}
 			maxCycles = int(float64(maxCycles) * pol.BudgetFactor)
 			maxOps = int64(float64(maxOps) * pol.BudgetFactor)
 		}
 		if deadline > 0 {
 			deadline = time.Duration(float64(deadline) * pol.DeadlineFactor)
-		}
-		if pol.Backoff > 0 {
-			time.Sleep(pol.Backoff)
 		}
 	}
 }

@@ -29,6 +29,10 @@ echo "== benchmark module tests =="
 # compare refuses mismatched runs, and inputs follow from the seed.
 go -C perfbench test ./...
 
+echo "== benchmark module vet =="
+# The root go vet ./... stops at the module boundary too.
+go -C perfbench vet ./...
+
 echo "== go test -race =="
 go test -race -timeout 5m ./...
 
